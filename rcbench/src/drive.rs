@@ -20,7 +20,7 @@ pub const BATCH: u64 = 64;
 /// In a latency phase, one operation in `LAT_STRIDE` is timed.
 const LAT_STRIDE: u64 = 8;
 /// In a traced phase, one batch in `TRACE_EVERY` is recorded as spans.
-const TRACE_EVERY: u64 = 256;
+pub const TRACE_EVERY: u64 = 256;
 /// Span buffer bound per client and session (about 2 MB).
 const SPAN_CAP: usize = 60_000;
 /// Garbage sampling period of the main thread.
@@ -111,30 +111,6 @@ impl<X: Target, S: Scheme> Target for Rc<X, S> {
     }
 }
 
-/// Counters of the RC domain the main thread reads between and during
-/// phases.
-pub trait DomainView: Sync {
-    fn in_flight(&self) -> u64;
-    fn allocated(&self) -> u64;
-    fn freed(&self) -> u64;
-    fn epoch(&self) -> u64;
-}
-
-impl<X: Sync, S: Scheme> DomainView for Rc<X, S> {
-    fn in_flight(&self) -> u64 {
-        self.domain.in_flight()
-    }
-    fn allocated(&self) -> u64 {
-        self.domain.allocated()
-    }
-    fn freed(&self) -> u64 {
-        self.domain.freed()
-    }
-    fn epoch(&self) -> u64 {
-        self.domain.epoch()
-    }
-}
-
 /// How clients run a phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -159,6 +135,8 @@ enum Cmd {
 #[derive(Debug, Default)]
 pub struct Phase {
     pub ops: u64,
+    /// Wall time of the phase: the operations and, in an RC phase, the
+    /// clients' closing `process_deferred` calls.
     pub secs: f64,
     /// Sampled latencies (ns), ascending.
     pub lat: Vec<u32>,
@@ -168,6 +146,9 @@ pub struct Phase {
     /// RC domain counter deltas over the phase (meaningful in RC phases).
     pub allocated: u64,
     pub freed: u64,
+    /// The part of `freed` that only the closing `process_deferred` calls
+    /// freed.
+    pub settle_freed: u64,
     pub epochs: u64,
 }
 
@@ -214,19 +195,23 @@ struct Shared {
 struct Lane(AtomicI64);
 
 /// The main thread's handle on a running session.
-pub struct Coordinator<'a> {
+pub struct Coordinator<'a, X, S: Scheme> {
     shared: &'a Shared,
-    rc: &'a dyn DomainView,
+    rc: &'a Rc<X, S>,
     live: i64,
 }
 
-impl Coordinator<'_> {
+impl<X, S: Scheme> Coordinator<'_, X, S> {
     /// Runs one phase of `variant` for `dur` (ignored by [`Mode::Fixed`]).
+    /// The phase ends once the clients have stopped and, after an RC phase,
+    /// each has applied its deferred decrements: that reclamation work is
+    /// part of the RC variant's time.
     pub fn phase(&mut self, variant: usize, mode: Mode, dur: Duration) -> Phase {
         let sh = self.shared;
+        let domain = &self.rc.domain;
         *sh.cmd.lock().expect("command lock poisoned") = Cmd::Run(variant, mode);
         sh.stop.store(false, Ordering::Relaxed);
-        let (a0, f0, e0) = (self.rc.allocated(), self.rc.freed(), self.rc.epoch());
+        let (a0, f0, e0) = (domain.allocated(), domain.freed(), domain.epoch());
         let mut garbage = Vec::new();
         sh.barrier.wait();
         let t0 = Instant::now();
@@ -238,13 +223,16 @@ impl Coordinator<'_> {
                     // the few updates in flight while it is taken.
                     let net: i64 = sh.net.iter().map(|l| l.0.load(Ordering::Relaxed)).sum();
                     let live = (self.live + net).max(0) as u64;
-                    garbage.push(self.rc.in_flight().saturating_sub(live));
+                    garbage.push(domain.in_flight().saturating_sub(live));
                 }
             }
             // Ordering: Relaxed — a stop request publishes no data; the
             // barrier below orders everything the clients report.
             sh.stop.store(true, Ordering::Relaxed);
         }
+        // The clients have stopped; next they settle.
+        sh.barrier.wait();
+        let f1 = domain.freed();
         sh.barrier.wait();
         let secs = t0.elapsed().as_secs_f64();
         let mut lat = Vec::new();
@@ -252,14 +240,16 @@ impl Coordinator<'_> {
             lat.append(&mut l.lock().expect("latency lock poisoned"));
         }
         lat.sort_unstable();
+        let freed = domain.freed();
         Phase {
             ops: sh.ops.iter().map(|o| o.load(Ordering::Relaxed)).sum(),
             secs,
             lat,
             garbage,
-            allocated: self.rc.allocated() - a0,
-            freed: self.rc.freed() - f0,
-            epochs: self.rc.epoch() - e0,
+            allocated: domain.allocated() - a0,
+            freed: freed - f0,
+            settle_freed: freed - f1,
+            epochs: domain.epoch() - e0,
         }
     }
 }
@@ -269,15 +259,16 @@ impl Coordinator<'_> {
 /// holds a popped element pushes it back first. `live` is the RC domain's
 /// live block count at the start; the clients' successful puts and deletes
 /// keep it current, and garbage is what the domain holds beyond it.
-pub fn session<R, M, X>(
-    rc: &R,
+pub fn session<R, S, M, Y>(
+    rc: &Rc<R, S>,
     manual: &M,
     load: &Load,
     live: i64,
-    body: impl FnOnce(&mut Coordinator) -> X,
-) -> (X, Vec<ClientOut>)
+    body: impl FnOnce(&mut Coordinator<R, S>) -> Y,
+) -> (Y, Vec<ClientOut>)
 where
-    R: Target + DomainView,
+    R: Target,
+    S: Scheme,
     M: Target,
 {
     let shared = Shared {
@@ -323,6 +314,7 @@ where
                         if v == RC {
                             c.settle(rc);
                         }
+                        shared.barrier.wait();
                     }
                     c.give_back(rc, RC);
                     c.give_back(manual, MANUAL);

@@ -9,7 +9,8 @@ pub fn midmean(v: &mut [u64]) -> f64 {
     mid.iter().sum::<u64>() as f64 / mid.len() as f64
 }
 
-/// As [`median_u64`], for floats.
+/// The median of `v`: the mean of the two middle values when its length
+/// is even. Panics on an empty slice.
 pub fn median(v: &[f64]) -> f64 {
     let mut v = v.to_vec();
     v.sort_unstable_by(f64::total_cmp);

@@ -109,6 +109,41 @@ impl Spans {
     }
 }
 
+/// The time (ns) recording the spans of one traced batch of `batch`
+/// operations adds to it: the clock reads and pushes of the batch's own
+/// spans and of each operation's keygen and structure spans, with the
+/// layer calls themselves left out. The median of repeated timings.
+pub fn batch_cost_ns(batch: u64) -> f64 {
+    const BATCHES: u64 = 256;
+    const REPEATS: usize = 25;
+    let mut sp = Spans::new(Instant::now(), usize::MAX);
+    let mut per_batch = Vec::with_capacity(REPEATS);
+    for _ in 0..REPEATS {
+        sp.list.clear();
+        let t0 = Instant::now();
+        for n in 0..BATCHES {
+            let p0 = sp.now();
+            let p1 = sp.now();
+            let b = sp.push(BATCH, 0, NO_PARENT, n, p0, 0);
+            sp.push(pin_name(0), 0, b, n, p0, p1);
+            for i in 0..batch {
+                let k0 = sp.now();
+                let k1 = std::hint::black_box(sp.now());
+                let k2 = sp.now();
+                sp.push(KEYGEN, 0, b, n + i, k0, k1);
+                sp.push(op_name(0, 0), 0, b, n + i, k1, k2);
+            }
+            let u0 = sp.now();
+            let u1 = sp.now();
+            sp.push(unpin_name(0), 0, b, n, u0, u1);
+            sp.list[b as usize].end = u1;
+        }
+        std::hint::black_box(&sp.list);
+        per_batch.push(t0.elapsed().as_nanos() as f64 / BATCHES as f64);
+    }
+    crate::stats::median(&per_batch)
+}
+
 /// Self times (span duration minus the part its children cover), grouped
 /// by span name and by variant.
 #[derive(Debug, Default)]

@@ -22,8 +22,10 @@ use crate::stats::{median, midmean, percentile};
 use crate::trace::{self, SelfTimes, Span};
 
 /// Independent builds per run, each measured for an equal share of the
-/// rounds: `setup_s` and `teardown_ms` are medians over these.
-const SETUPS: usize = 5;
+/// rounds: `setup_s` is the median over these and `teardown_ms` the
+/// midmean, which follows a build-to-build mix of fast and slow teardowns
+/// more smoothly than the median.
+const SETUPS: usize = 9;
 /// Length of one measured phase.
 const PHASE: Duration = Duration::from_millis(250);
 
@@ -31,6 +33,7 @@ const PHASE: Duration = Duration::from_millis(250);
 const PREFILL: u64 = 1;
 const WARMUP: u64 = 2;
 const SIDE: u64 = 3;
+const EPOCH_PROBE: u64 = 4;
 /// The measurement sessions use `MEASURE + build`.
 const MEASURE: u64 = 16;
 
@@ -71,6 +74,9 @@ struct Spec {
     /// RC domain blocks one element occupies (the NM tree's leaf comes
     /// with an internal node).
     blocks_per_put: i64,
+    /// Whether the RC domain's scheme advances the domain's epoch clock
+    /// (EBR does; HP keeps none).
+    epoch_clock: bool,
 }
 
 pub const WORKLOADS: [&str; 3] = ["kv_zipf", "tree_rq", "weak_queue"];
@@ -96,6 +102,7 @@ pub fn run(workload: &str, a: &Args) -> Option<Report> {
                 elements: Vec::new(),
                 warmup: 1024,
                 blocks_per_put: 1,
+                epoch_clock: true,
             };
             measure::<EbrScheme, Ebr, _, _>(a, &spec, || {
                 let d = DomainRef::new();
@@ -125,6 +132,7 @@ pub fn run(workload: &str, a: &Args) -> Option<Report> {
                 elements: Vec::new(),
                 warmup: 128,
                 blocks_per_put: 2,
+                epoch_clock: true,
             };
             measure::<EbrScheme, Ebr, _, _>(a, &spec, || {
                 let d = DomainRef::new();
@@ -148,6 +156,7 @@ pub fn run(workload: &str, a: &Args) -> Option<Report> {
                 elements,
                 warmup: 1024,
                 blocks_per_put: 1,
+                epoch_clock: false,
             };
             measure::<HpScheme, Ebr, _, _>(a, &spec, || {
                 let d = DomainRef::new();
@@ -300,7 +309,7 @@ where
 {
     let mut rep = Report::default();
     let mut setup_s = Vec::new();
-    let mut teardown_ms = Vec::new();
+    let mut teardown_ns = Vec::new();
     let mut phases: [[Vec<Phase>; 2]; 2] = Default::default();
     let mut measured = [Tally::default(), Tally::default()];
     let mut spans: Vec<Vec<Span>> = Vec::new();
@@ -341,7 +350,7 @@ where
         merge(&mut measured, &outs);
         merge(&mut b.tally, &outs);
         spans.extend(outs.into_iter().map(|o| o.spans));
-        teardown_ms.push(finish(&mut rep.verdict, spec, b).as_secs_f64() * 1e3);
+        teardown_ns.push(finish(&mut rep.verdict, spec, b).as_nanos() as u64);
     }
 
     let mops = |ph: &[Phase]| median(&ph.iter().map(Phase::mops).collect::<Vec<_>>());
@@ -355,6 +364,11 @@ where
         drive::CLIENTS,
         drive::BATCH,
         PHASE.as_millis()
+    ));
+    rep.lines.push(format!(
+        "per build: setup {} ms; teardown {} ms",
+        ms_list(setup_s.iter().map(|s| s * 1e3)),
+        ms_list(teardown_ns.iter().map(|&t| t as f64 / 1e6))
     ));
     for v in [RC, MANUAL] {
         let per: Vec<String> = tput[v].iter().map(|p| format!("{:.3}", p.mops())).collect();
@@ -387,7 +401,7 @@ where
         rep.metric("manual_p50_ns", lat(&other[MANUAL], 50.0), "ns");
         rep.metric("rc_garbage_avg", garbage_avg, "blocks");
         rep.metric("rc_garbage_peak", garbage_peak, "blocks");
-        rep.metric("teardown_ms", median(&teardown_ms), "ms");
+        rep.metric("teardown_ms", midmean(&mut teardown_ns) / 1e6, "ms");
         rep.metric("setup_s", median(&setup_s), "s");
         rep.lines.push(format!(
             "latency: median over phases of each phase's percentile; {} rc and {} manual samples, one op in 8 timed",
@@ -419,7 +433,8 @@ where
         .into_iter()
         .filter(|&k| measured.iter().all(|t| t.count[k as usize] == 0))
         .collect();
-    let (mut side_st, side_tally, side_spans) = side::<S, SM>(a, &absent, &mut rep.verdict);
+    let (mut side_st, side_tally, side_spans) =
+        side::<S, SM>(a, &absent, spec.epoch_clock, &mut rep.verdict);
     spans.extend(side_spans);
 
     for v in [RC, MANUAL] {
@@ -482,10 +497,21 @@ where
     );
     rep.metric("cdrc.freed_per_op", sum(|p| p.freed) / rc_ops, "blocks/op");
     rep.metric(
-        "cdrc.epoch_per_kop",
-        sum(|p| p.epochs) * 1e3 / rc_ops,
-        "epochs/kop",
+        "cdrc.settle_freed_share",
+        sum(|p| p.settle_freed) / sum(|p| p.freed).max(1.0),
+        "ratio",
     );
+    let epoch_per_kop = if spec.epoch_clock {
+        sum(|p| p.epochs) * 1e3 / rc_ops
+    } else {
+        let e = epoch_probe(a, spec, &mut rep.verdict);
+        rep.lines.push(
+            "cdrc.epoch_per_kop: this RC domain's scheme keeps no epoch clock; measured on the same load over RC(EBR)"
+                .into(),
+        );
+        e
+    };
+    rep.metric("cdrc.epoch_per_kop", epoch_per_kop, "epochs/kop");
 
     let units = |m: &str| if m.ends_with("_ratio") { "ratio" } else { "ns" };
     for (m, val) in probes::cdrc::<S>(&mut rep.verdict)
@@ -522,20 +548,25 @@ where
             ));
         }
     }
-    let overhead = |plain: f64, traced: f64| (plain - traced) / plain * 100.0;
-    rep.metric(
-        "harness.trace_overhead_rc_pct",
-        overhead(rc_mops, traced_mops.0),
-        "%",
-    );
-    rep.metric(
-        "harness.trace_overhead_manual_pct",
-        overhead(manual_mops, traced_mops.1),
-        "%",
-    );
+    // Tracing overhead: the time recording a traced batch's spans adds to
+    // it, as a share of the batch's untraced time (one client's time for
+    // BATCH operations at the untraced throughput).
+    let span_cost = trace::batch_cost_ns(drive::BATCH);
+    let batch_ns = |mops: f64| drive::BATCH as f64 * drive::CLIENTS as f64 * 1e3 / mops;
+    let overhead = [rc_mops, manual_mops].map(|m| span_cost / batch_ns(m) * 100.0);
+    rep.metric("harness.trace_overhead_rc_pct", overhead[RC], "%");
+    rep.metric("harness.trace_overhead_manual_pct", overhead[MANUAL], "%");
     rep.lines.push(format!(
-        "tracing: one batch in 256 traced; traced vs untraced phases: rc {:.4} vs {:.4} Mop/s, manual {:.4} vs {:.4} Mop/s",
-        traced_mops.0, rc_mops, traced_mops.1, manual_mops
+        "tracing: recording one batch's spans costs {span_cost:.0} ns, {:.2}% (rc) and {:.2}% (manual) of the batch; one batch in {} is traced, so a traced phase runs about {:.3}% / {:.3}% longer; measured: rc {:.4} vs {:.4} Mop/s, manual {:.4} vs {:.4} Mop/s traced vs untraced",
+        overhead[RC],
+        overhead[MANUAL],
+        drive::TRACE_EVERY,
+        overhead[RC] / drive::TRACE_EVERY as f64,
+        overhead[MANUAL] / drive::TRACE_EVERY as f64,
+        traced_mops.0,
+        rc_mops,
+        traced_mops.1,
+        manual_mops
     ));
     if !absent.is_empty() {
         rep.lines.push(format!(
@@ -559,6 +590,10 @@ where
     rep
 }
 
+fn ms_list(v: impl Iterator<Item = f64>) -> String {
+    v.map(|x| format!("{x:.3}")).collect::<Vec<_>>().join(" ")
+}
+
 /// A traced median that must exist; a missing one is a benchmark fault.
 fn need(v: &mut Verdict, what: &str, val: Option<f64>) -> f64 {
     v.check(val.is_some(), || format!("no spans recorded for {what}"));
@@ -572,6 +607,42 @@ fn spans_path(workload: &str) -> Option<std::path::PathBuf> {
     Some(target.join("rcbench-spans").join(format!("{workload}.csv")))
 }
 
+/// Epochs per thousand RC operations of `spec`'s queue load on an RC(EBR)
+/// DoubleLink queue, for the queue workload, whose own RC domain keeps no
+/// epoch clock. Checks the run like any other.
+fn epoch_probe(a: &Args, spec: &Spec, v: &mut Verdict) -> f64 {
+    const BATCHES: u64 = 4096;
+    assert!(
+        matches!(spec.mix, Mix::PopPush),
+        "the epoch probe runs a queue load"
+    );
+    let build = || {
+        let d = DomainRef::<EbrScheme>::new();
+        (
+            Rc {
+                x: Queue(RcDoubleLinkQueue::new_in(d.clone())),
+                domain: d,
+            },
+            Queue(DoubleLinkQueue::<u64, Ebr>::new()),
+        )
+    };
+    let (mut b, _) = set_up(a, spec, &build, None);
+    let load = Load {
+        seed: a.seed,
+        stream: EPOCH_PROBE,
+        mix: &spec.mix,
+        elements: &spec.elements,
+        trace: None,
+        blocks_per_put: spec.blocks_per_put,
+    };
+    let (ph, outs) = session(&b.rc, &b.manual, &load, b.live(spec), |d| {
+        d.phase(RC, Mode::Fixed(BATCHES), Duration::ZERO)
+    });
+    merge(&mut b.tally, &outs);
+    finish(v, spec, b);
+    ph.epochs as f64 * 1e3 / ph.ops.max(1) as f64
+}
+
 /// Side structures for operation kinds outside a workload's mix, run in
 /// full trace for a fixed number of batches on the workload's schemes: an
 /// NM tree (4096 of 8192 keys; gets, puts, deletes and ranges, 25% each)
@@ -580,6 +651,7 @@ fn spans_path(workload: &str) -> Option<std::path::PathBuf> {
 fn side<S: Scheme, SM: AcquireRetire>(
     a: &Args,
     absent: &[Kind],
+    epoch_clock: bool,
     v: &mut Verdict,
 ) -> (SelfTimes, Tally, Vec<Vec<Span>>) {
     let mut rng = stream(a.seed, &[SIDE]);
@@ -603,6 +675,7 @@ fn side<S: Scheme, SM: AcquireRetire>(
             elements: Vec::new(),
             warmup: 200,
             blocks_per_put: 2,
+            epoch_clock,
         };
         let build = || {
             let d = DomainRef::<S>::new();
@@ -627,6 +700,7 @@ fn side<S: Scheme, SM: AcquireRetire>(
             elements,
             warmup: 200,
             blocks_per_put: 1,
+            epoch_clock,
         };
         let build = || {
             let d = DomainRef::<S>::new();

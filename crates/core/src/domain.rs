@@ -360,6 +360,14 @@ struct DomainLocal {
     pending_strong: Batch,
     /// Batched displaced weak decrements; same protocol.
     pending_weak: Batch,
+    /// Dispose retires this thread issued and has not yet ejected: the
+    /// trigger for scanning the dispose instance at flush points instead
+    /// of waiting for its retire threshold (see `flush_batches` and
+    /// `collect_counted`). Exact for the schemes that eject from the
+    /// retiring thread's own list; Hyaline can hand a batch to another
+    /// thread, so the count saturates at zero and may stay high, which
+    /// costs only spare (empty) scans.
+    dispose_backlog: Cell<usize>,
     /// Whether this thread has registered its unregister-time flush
     /// callback with this domain. Reset by the callback itself so a
     /// recycled slot's next owner re-registers.
@@ -490,6 +498,7 @@ impl<S: AcquireRetire> Domain<S> {
                         applying: Cell::new(false),
                         pending_strong: Batch::new(),
                         pending_weak: Batch::new(),
+                        dispose_backlog: Cell::new(0),
                         flush_registered: Cell::new(false),
                         destruct_scratch: Cell::new(None),
                     })
@@ -765,6 +774,13 @@ impl<S: AcquireRetire> Domain<S> {
     pub(crate) unsafe fn delayed_dispose(&self, t: Tid, addr: usize) {
         smr::sanitize::on_retire(addr, smr::sanitize::Channel::Dispose);
         let birth = (*as_header(addr)).birth;
+        // Count the retire and make sure the section-exit hook is installed:
+        // the next flush point scans the dispose instance for it. If the
+        // thread is already unregistering, the retire threshold and
+        // `process_deferred` still reach it.
+        let local = &self.locals[t.index()];
+        local.dispose_backlog.set(local.dispose_backlog.get() + 1);
+        self.ensure_flush_registered(t);
         self.dispose_ar.retire(t, Retired::new(addr, birth));
         self.collect(t);
     }
@@ -818,20 +834,17 @@ impl<S: AcquireRetire> Domain<S> {
                 smr::sanitize::Channel::Strong
             },
         );
-        let local = &self.locals[t.index()];
-        if !local.flush_registered.get() {
-            if !self.register_thread_flush() {
-                // The thread is already unregistering: nothing would ever
-                // flush a batch entry, so apply the deferral synchronously.
-                if weak {
-                    self.delayed_weak_decrement(t, addr);
-                } else {
-                    self.delayed_decrement(t, addr);
-                }
-                return;
+        if !self.ensure_flush_registered(t) {
+            // The thread is already unregistering: nothing would ever flush
+            // a batch entry, so apply the deferral synchronously.
+            if weak {
+                self.delayed_weak_decrement(t, addr);
+            } else {
+                self.delayed_decrement(t, addr);
             }
-            local.flush_registered.set(true);
+            return;
         }
+        let local = &self.locals[t.index()];
         // Read the birth epoch now, while the displacing operation still has
         // the block's header warm; the flush only copies records.
         let r = Retired::new(addr, (*as_header(addr)).birth);
@@ -848,14 +861,22 @@ impl<S: AcquireRetire> Domain<S> {
 
     /// Retires every batched decrement of the calling thread, repeating
     /// until the buffers stay empty (applying a batch can destruct objects
-    /// whose displaced edges batch new decrements).
+    /// whose displaced edges batch new decrements), and kicks the thread's
+    /// dispose chains.
+    ///
+    /// The kick: while this thread has dispose retires outstanding, every
+    /// flush also scans the dispose instance. An object that still has
+    /// weak observers when its strong count reaches zero is disposed
+    /// through that instance, one retire at a time — too few to ever reach
+    /// its retire threshold — so without the scan a weak back edge would
+    /// leave its chain of dead nodes to `process_deferred`.
     pub(crate) fn flush_batches(&self, t: Tid) {
         let local = &self.locals[t.index()];
         loop {
             // Safety: `t` is the calling thread's slot.
             let (strong, ns) = unsafe { local.pending_strong.take() };
             let (weak, nw) = unsafe { local.pending_weak.take() };
-            if ns == 0 && nw == 0 {
+            if ns == 0 && nw == 0 && local.dispose_backlog.get() == 0 {
                 break;
             }
             // Quiescent fast path: every batched entry was displaced from
@@ -867,8 +888,9 @@ impl<S: AcquireRetire> Domain<S> {
             // live locations, none of which still name these references.)
             // Both sweeps must pass: strong snapshots are taken under
             // `strong_ar` sections and weak ones under `weak_ar`, but guard
-            // flavours may hold both.
-            if self.strong_ar.quiescent() && self.weak_ar.quiescent() {
+            // flavours may hold both. An empty batch skips the check: the
+            // retire loops are then no-ops and only the dispose kick runs.
+            if ns + nw > 0 && self.strong_ar.quiescent() && self.weak_ar.quiescent() {
                 for r in &strong[..ns] {
                     // Safety: each entry owes one strong reference
                     // transferred at `batch_decrement`; quiescence grants
@@ -891,7 +913,14 @@ impl<S: AcquireRetire> Domain<S> {
                     self.weak_ar.retire(t, *r);
                 }
             }
+            // Applying the batch may itself have retired disposals.
+            if local.dispose_backlog.get() > 0 {
+                self.dispose_ar.flush(t);
+            }
             self.collect(t);
+            if !self.has_pending_batch(t) {
+                break;
+            }
         }
     }
 
@@ -899,6 +928,22 @@ impl<S: AcquireRetire> Domain<S> {
     fn has_pending_batch(&self, t: Tid) -> bool {
         let local = &self.locals[t.index()];
         !local.pending_strong.is_empty() || !local.pending_weak.is_empty()
+    }
+
+    /// Makes sure the calling thread's flush triggers are installed (see
+    /// [`register_thread_flush`](Self::register_thread_flush)). Returns
+    /// `false` when the thread is already unregistering: no trigger will
+    /// ever fire for it again.
+    fn ensure_flush_registered(&self, t: Tid) -> bool {
+        let local = &self.locals[t.index()];
+        if local.flush_registered.get() {
+            return true;
+        }
+        if !self.register_thread_flush() {
+            return false;
+        }
+        local.flush_registered.set(true);
+        true
     }
 
     /// Installs the two flush triggers for the calling thread: the
@@ -1002,9 +1047,19 @@ impl<S: AcquireRetire> Domain<S> {
             }
             while let Some(r) = self.dispose_ar.eject(t) {
                 any = true;
+                let backlog = &local.dispose_backlog;
+                backlog.set(backlog.get().saturating_sub(1));
                 // Safety: carries the disposal responsibility for an object
                 // whose strong count is zero.
                 unsafe { self.dispose(t, r.addr) };
+            }
+            // Follow dispose chains: this round's destructs may have zeroed
+            // a child that still has weak observers, retiring its disposal
+            // just now. Scan for it here so the next round applies it —
+            // one link per round — instead of leaving each link of the
+            // chain to a later flush point.
+            if any && local.dispose_backlog.get() > 0 {
+                self.dispose_ar.flush(t);
             }
             if !any {
                 break;
@@ -1015,9 +1070,12 @@ impl<S: AcquireRetire> Domain<S> {
     }
 
     /// Flushes all three instances and applies everything that becomes
-    /// ready, repeating until a round makes no progress. Recursive teardown
-    /// of linked structures completes here (each round releases one more
-    /// "level").
+    /// ready, repeating until a round makes no progress. Collection itself
+    /// follows zero-count subgraphs and dispose chains as far as the scheme
+    /// lets it; the extra rounds here pick up what had to wait — work
+    /// retired into another instance mid-round, and chain links that a
+    /// region scheme (EBR, IBR, Hyaline) can only eject after a further
+    /// grace period.
     ///
     /// Intended for tests, benchmark phase boundaries and orderly shutdown;
     /// concurrent use is safe, but entries protected by other threads'
@@ -1079,6 +1137,10 @@ impl<S: AcquireRetire> Domain<S> {
             // Applying may have retired more (possibly on other slots via
             // recycled Tids); loop until nothing is left anywhere.
             self.collect(t);
+        }
+        // Every retired record was applied above, whichever slot retired it.
+        for local in self.locals.iter() {
+            local.dispose_backlog.set(0);
         }
     }
 
@@ -1150,6 +1212,10 @@ impl<S: AcquireRetire> Domain<S> {
         // the owner may have died mid-collection with `applying` set.
         local.flush_registered.set(false);
         local.applying.set(false);
+        // The dead slot's dispose retires now sit in the calling thread's
+        // lists: its flush points kick them from here on.
+        let mine = &self.locals[t.index()].dispose_backlog;
+        mine.set(mine.get() + local.dispose_backlog.replace(0));
         self.collect(t);
     }
 }
@@ -1169,7 +1235,8 @@ impl<S: AcquireRetire> Drop for Domain<S> {
     }
 }
 
-/// Section-exit trampoline: flushes the exiting thread's decrement batch.
+/// Section-exit trampoline: flushes the exiting thread's decrement batch
+/// and kicks its outstanding disposals.
 /// `data` is the domain the hook was installed for; see
 /// [`Domain::register_thread_flush`] for why it is still alive here.
 unsafe fn exit_flush<S: AcquireRetire>(data: *const (), t: Tid) {
@@ -1181,7 +1248,7 @@ unsafe fn exit_flush<S: AcquireRetire>(data: *const (), t: Tid) {
         return;
     }
     let d = &*(data as *const Domain<S>);
-    if d.has_pending_batch(t) {
+    if d.has_pending_batch(t) || d.locals[t.index()].dispose_backlog.get() > 0 {
         d.flush_batches(t);
     }
 }

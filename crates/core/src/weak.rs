@@ -692,6 +692,15 @@ mod tests {
         Ebr::global_domain().process_deferred(smr::current_tid());
     }
 
+    /// Settles a private domain and checks it balanced. Tests that assert
+    /// exact drop or free counts use a private domain: on the shared global
+    /// one, another test's open section can hold back a drop this test
+    /// waits on.
+    fn assert_balanced(d: &DomainRef<Ebr>) {
+        d.process_deferred(smr::current_tid());
+        assert_eq!(d.allocated(), d.freed(), "private domain leaked blocks");
+    }
+
     struct Probe(Arc<Std>);
     impl Drop for Probe {
         fn drop(&mut self) {
@@ -715,17 +724,19 @@ mod tests {
 
     #[test]
     fn weak_does_not_keep_object_alive_but_keeps_block() {
+        let d: DomainRef<Ebr> = DomainRef::new();
         let drops = Arc::new(Std::new(0));
-        let strong: Sp<Probe> = SharedPtr::new(Probe(Arc::clone(&drops)));
+        let strong: Sp<Probe> = SharedPtr::new_in(Probe(Arc::clone(&drops)), &d);
         let weak = strong.downgrade();
         drop(strong);
-        settle();
+        d.process_deferred(smr::current_tid());
         assert_eq!(drops.load(Ordering::SeqCst), 1, "object destroyed");
         // Control block still usable through the weak pointer.
         assert!(weak.expired());
         assert!(weak.upgrade().is_none());
+        assert_eq!(d.freed(), 0, "the weak pointer keeps the block");
         drop(weak);
-        settle();
+        assert_balanced(&d);
     }
 
     #[test]
@@ -755,26 +766,33 @@ mod tests {
         unsafe impl Send for Node {}
         unsafe impl Sync for Node {}
 
+        let d: DomainRef<Ebr> = DomainRef::new();
         let drops = Arc::new(Std::new(0));
         {
-            let a: Sp<Node> = SharedPtr::new(Node {
-                _name: "a",
-                next: std::cell::RefCell::new(SharedPtr::null()),
-                prev: std::cell::RefCell::new(WeakPtr::null()),
-                probe: Probe(Arc::clone(&drops)),
-            });
-            let b: Sp<Node> = SharedPtr::new(Node {
-                _name: "b",
-                next: std::cell::RefCell::new(SharedPtr::null()),
-                prev: std::cell::RefCell::new(WeakPtr::null()),
-                probe: Probe(Arc::clone(&drops)),
-            });
+            let a: Sp<Node> = SharedPtr::new_in(
+                Node {
+                    _name: "a",
+                    next: std::cell::RefCell::new(SharedPtr::null()),
+                    prev: std::cell::RefCell::new(WeakPtr::null()),
+                    probe: Probe(Arc::clone(&drops)),
+                },
+                &d,
+            );
+            let b: Sp<Node> = SharedPtr::new_in(
+                Node {
+                    _name: "b",
+                    next: std::cell::RefCell::new(SharedPtr::null()),
+                    prev: std::cell::RefCell::new(WeakPtr::null()),
+                    probe: Probe(Arc::clone(&drops)),
+                },
+                &d,
+            );
             // a.next = b (strong); b.prev = a (weak): no strong cycle.
             *a.as_ref().unwrap().next.borrow_mut() = b.clone();
             *b.as_ref().unwrap().prev.borrow_mut() = a.downgrade();
             let _ = &a.as_ref().unwrap().probe;
         }
-        settle();
+        assert_balanced(&d);
         assert_eq!(drops.load(Ordering::SeqCst), 2, "both nodes collected");
     }
 
@@ -846,11 +864,12 @@ mod tests {
 
     #[test]
     fn weak_snapshot_reads_live_object_without_count_traffic() {
-        let strong: Sp<u32> = SharedPtr::new(9);
-        let slot: Awp<u32> = AtomicWeakPtr::null();
+        let d: DomainRef<Ebr> = DomainRef::new();
+        let strong: Sp<u32> = SharedPtr::new_in(9, &d);
+        let slot: Awp<u32> = AtomicWeakPtr::null_in(&d);
         slot.store(&strong.downgrade());
         {
-            let cs = Ebr::global_domain().weak_cs();
+            let cs = d.weak_cs();
             let snap = slot.get_snapshot(&cs);
             assert!(!snap.is_null());
             assert!(snap.used_fast_path(), "EBR never falls back");
@@ -861,23 +880,24 @@ mod tests {
             assert_eq!(promoted.as_ref(), Some(&9));
         }
         drop((strong, slot));
-        settle();
+        assert_balanced(&d);
     }
 
     #[test]
     fn weak_snapshot_of_expired_object_is_null() {
-        let strong: Sp<u32> = SharedPtr::new(3);
-        let slot: Awp<u32> = AtomicWeakPtr::null();
+        let d: DomainRef<Ebr> = DomainRef::new();
+        let strong: Sp<u32> = SharedPtr::new_in(3, &d);
+        let slot: Awp<u32> = AtomicWeakPtr::null_in(&d);
         slot.store(&strong.downgrade());
         drop(strong);
-        settle();
-        let cs = Ebr::global_domain().weak_cs();
+        d.process_deferred(smr::current_tid());
+        let cs = d.weak_cs();
         let snap = slot.get_snapshot(&cs);
         assert!(snap.is_null(), "expired object yields null snapshot");
         drop(snap);
         drop(cs);
         drop(slot);
-        settle();
+        assert_balanced(&d);
     }
 
     #[test]
@@ -885,12 +905,13 @@ mod tests {
         // Take a snapshot, then drop the last strong reference while the
         // snapshot is alive: reads must remain valid; expiry must be
         // observable; promote must fail.
+        let d: DomainRef<Ebr> = DomainRef::new();
         let drops = Arc::new(Std::new(0));
-        let strong: Sp<Probe> = SharedPtr::new(Probe(Arc::clone(&drops)));
-        let slot: Awp<Probe> = AtomicWeakPtr::null();
+        let strong: Sp<Probe> = SharedPtr::new_in(Probe(Arc::clone(&drops)), &d);
+        let slot: Awp<Probe> = AtomicWeakPtr::null_in(&d);
         slot.store(&strong.downgrade());
         {
-            let cs = Ebr::global_domain().weak_cs();
+            let cs = d.weak_cs();
             let snap = slot.get_snapshot(&cs);
             assert!(!snap.is_null());
             drop(strong);
@@ -900,10 +921,10 @@ mod tests {
             assert!(snap.expired());
             assert!(snap.try_promote().is_none());
         }
-        settle();
+        d.process_deferred(smr::current_tid());
         assert_eq!(drops.load(Ordering::SeqCst), 1, "destroyed after snapshot");
         drop(slot);
-        settle();
+        assert_balanced(&d);
     }
 
     #[test]

@@ -295,22 +295,25 @@ where
             {
                 return false;
             }
-            // We won: retire the spliced-out chain. Every chain node has
-            // exactly one flagged child (a deleted leaf); the walk follows
-            // the unflagged child and ends at the surviving sibling.
+            // We won: retire the spliced-out chain. Above the parent, every
+            // chain node has an internal child on the path and a flagged
+            // (deleted) leaf on the other side; the walk keeps the former
+            // and retires the latter. At the parent it keeps the surviving
+            // sibling by address: a concurrent delete may have flagged the
+            // sibling leaf too, so "the unflagged child" is ambiguous there.
             let sibling = addr(sib_w);
             let mut n = s.successor;
             while n != sibling {
                 let node = n as *const Node<K, V>;
                 let lw = (*node).left.load(Ordering::SeqCst);
                 let rw = (*node).right.load(Ordering::SeqCst);
-                let next = if flagged(lw) {
-                    self.retire_node(t, addr(lw));
-                    addr(rw)
+                let keep_left = addr(lw) == sibling || (addr(rw) != sibling && !flagged(lw));
+                let (next, gone) = if keep_left {
+                    (addr(lw), addr(rw))
                 } else {
-                    self.retire_node(t, addr(rw));
-                    addr(lw)
+                    (addr(rw), addr(lw))
                 };
+                self.retire_node(t, gone);
                 self.retire_node(t, n);
                 n = next;
             }
@@ -697,16 +700,19 @@ mod tests {
 
     #[test]
     fn contended_deletes_same_key_range() {
+        // Races deletes of both leaves under one parent: the case where the
+        // cleanup walk must keep the surviving sibling by address.
+        let seed: u64 = std::env::var("NMTREE_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x2545_f491);
+        eprintln!("contended_deletes_same_key_range: NMTREE_SEED={seed}");
         let tree: Arc<NatarajanMittalTree<u64, u64, Ebr>> = Arc::new(NatarajanMittalTree::new());
-        let hs: Vec<_> = (0..8)
-            .map(|_| {
+        let hs: Vec<_> = (0..8u64)
+            .map(|i| {
                 let tree = Arc::clone(&tree);
                 std::thread::spawn(move || {
-                    let mut state = std::time::SystemTime::now()
-                        .duration_since(std::time::UNIX_EPOCH)
-                        .unwrap()
-                        .subsec_nanos() as u64
-                        | 1;
+                    let mut state = (seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) | 1;
                     for _ in 0..2000 {
                         state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                         let k = (state >> 33) % 32;

@@ -23,9 +23,10 @@ fn drive<M: ConcurrentMap<u64, u64>>(store: &M, label: &str) {
     const BATCH: u64 = 64;
     let started = Instant::now();
     std::thread::scope(|scope| {
+        let mut workers = Vec::new();
         for t in 0..4u64 {
             let store = &store;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 let mut state = t.wrapping_mul(0xA076_1D64_78BD_642F) | 1;
                 let mut i = 0u64;
                 // Guard-batched loop: one `pin` per 64 operations amortizes
@@ -53,7 +54,13 @@ fn drive<M: ConcurrentMap<u64, u64>>(store: &M, label: &str) {
                     }
                     drop(guard); // reclamation catches up between batches
                 }
-            });
+            }));
+        }
+        // Join through the handles: unlike the scope's own wait, `join`
+        // also waits for the thread-exit callbacks that flush each worker's
+        // deferred work into the domain, which `main` later drains.
+        for w in workers {
+            w.join().unwrap();
         }
     });
     println!(
@@ -98,8 +105,11 @@ fn main() {
     let users = RcResizableHashMap::<u64, u64, EbrScheme>::new_in(users_domain.clone());
     let sessions = RcResizableHashMap::<u64, u64, EbrScheme>::new_in(sessions_domain.clone());
     std::thread::scope(|scope| {
-        scope.spawn(|| drive(&users, "users (own domain)"));
-        scope.spawn(|| drive(&sessions, "sessions (own domain)"));
+        let users_worker = scope.spawn(|| drive(&users, "users (own domain)"));
+        let sessions_worker = scope.spawn(|| drive(&sessions, "sessions (own domain)"));
+        // As in `drive`: join so that the exit callbacks have run.
+        users_worker.join().unwrap();
+        sessions_worker.join().unwrap();
     });
     // Worker threads are joined: drain their slots' deferred work too.
     // Safety: each domain is private to this example and nobody else is

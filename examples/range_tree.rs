@@ -24,10 +24,11 @@ fn main() {
     println!("prefilled {} keys", KEYS / 2);
 
     std::thread::scope(|scope| {
+        let mut workers = Vec::new();
         // Updaters: insert/delete random keys.
         for t in 0..3u64 {
             let tree = &tree;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 let mut state = 0x9E3779B97F4A7C15u64.wrapping_mul(t + 1);
                 let mut inserted = 0u32;
                 let mut removed = 0u32;
@@ -41,14 +42,14 @@ fn main() {
                     }
                 }
                 println!("updater {t}: {inserted} inserts, {removed} removes");
-            });
+            }));
         }
         // Scanners: range queries of size 64, as in Fig. 11 — batched 16
         // scans per guard so the section fence is paid once per batch, not
         // once per scan.
         for t in 0..3u64 {
             let tree = &tree;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 let mut state = 0xD1B54A32D192ED03u64.wrapping_mul(t + 1);
                 let mut total = 0usize;
                 for _ in 0..125 {
@@ -61,7 +62,13 @@ fn main() {
                     drop(guard);
                 }
                 println!("scanner {t}: saw {total} keys across 2000 scans");
-            });
+            }));
+        }
+        // Join through the handles: unlike the scope's own wait, `join`
+        // also waits for the thread-exit callbacks that flush each worker's
+        // deferred work, which the drain below must not race.
+        for w in workers {
+            w.join().unwrap();
         }
     });
 

@@ -18,6 +18,11 @@ use cdrc::{
 
 /// Drains a domain after multi-threaded use (worker threads joined): their
 /// retired lists live in per-slot state only `drain_and_apply_all` reaches.
+///
+/// Workers must be joined through their handles. A scope returns once its
+/// threads' closures have returned, which can be before their thread-exit
+/// callbacks (which flush into the domain) have run; a drain racing those
+/// breaks its exclusive-access contract.
 fn drain<S: Scheme>(d: &DomainRef<S>) {
     // Safety: callers join every worker thread first, and each test owns
     // its private domains, so nobody else is using them.
@@ -79,7 +84,9 @@ fn witness_matches_concurrent_install<S: Scheme>() {
             let theirs = &theirs;
             s.spawn(move || {
                 slot.store_from(theirs);
-            });
+            })
+            .join()
+            .unwrap();
         });
         // ...so our stale CAS must fail, and the witness must be exactly
         // that install.
@@ -154,16 +161,21 @@ fn swap_take_teardown<S: Scheme>() {
     {
         let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::new_in(SharedPtr::new_in(99, &d), &d);
         std::thread::scope(|s| {
-            for i in 0..4u64 {
-                let slot = &slot;
-                let d = &d;
-                s.spawn(move || {
-                    let mut mine: SharedPtr<u64, S> = SharedPtr::new_in(i, d);
-                    for _ in 0..1_000 {
-                        mine = slot.swap(mine);
-                        assert!(!mine.is_null(), "swap storm never sees null");
-                    }
-                });
+            let workers: Vec<_> = (0..4u64)
+                .map(|i| {
+                    let slot = &slot;
+                    let d = &d;
+                    s.spawn(move || {
+                        let mut mine: SharedPtr<u64, S> = SharedPtr::new_in(i, d);
+                        for _ in 0..1_000 {
+                            mine = slot.swap(mine);
+                            assert!(!mine.is_null(), "swap storm never sees null");
+                        }
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().unwrap();
             }
         });
         let taken = slot.take();
@@ -265,24 +277,25 @@ fn with_witness_under_swap_pressure<S: Scheme>() {
     {
         let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::new_in(SharedPtr::new_in(0, &d), &d);
         std::thread::scope(|s| {
+            let mut workers = Vec::new();
             // Two swappers churn the slot, retiring displaced nodes as fast
             // as possible (each drop is a deferred decrement feeding the
             // scheme's scan).
             for w in 0..2u64 {
                 let slot = &slot;
                 let d = &d;
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     for i in 0..3_000u64 {
                         drop(slot.swap(SharedPtr::new_in(w * 1_000_000 + i, d)));
                     }
-                });
+                }));
             }
             // Two witnesses-chasers CAS with stale expectations and read
             // every witness they are handed.
             for _ in 0..2 {
                 let slot = &slot;
                 let d = &d;
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     let mine: SharedPtr<u64, S> = SharedPtr::new_in(7_777_777, d);
                     let cs = d.cs();
                     let mut expected = TaggedPtr::null();
@@ -303,7 +316,10 @@ fn with_witness_under_swap_pressure<S: Scheme>() {
                             }
                         }
                     }
-                });
+                }));
+            }
+            for w in workers {
+                w.join().unwrap();
             }
         });
         drop(slot);

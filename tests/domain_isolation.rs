@@ -30,6 +30,11 @@ fn settle<S: Scheme>(d: &DomainRef<S>) {
 
 /// Drains a domain after multi-threaded use (worker threads joined): their
 /// retired lists live in per-slot state only `drain_and_apply_all` reaches.
+///
+/// Workers must be joined through their handles. A scope returns once its
+/// threads' closures have returned, which can be before their thread-exit
+/// callbacks (which flush into the domain) have run; a drain racing those
+/// breaks its exclusive-access contract.
 fn drain<S: Scheme>(d: &DomainRef<S>) {
     // Safety: callers join every worker thread first, and each test owns
     // its private domains, so nobody else is using them.
@@ -347,21 +352,23 @@ fn in_flight_never_under_reports<S: Scheme>() {
 
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
-        for _ in 0..2 {
-            s.spawn(|| {
-                let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::null_in(&d);
-                while !stop.load(Ordering::Relaxed) {
-                    let _cs = d.cs();
-                    // Displacing stores route the old block through the
-                    // deferred-decrement path — the raciest counter traffic
-                    // the domain has.
-                    for i in 0..16u64 {
-                        slot.store(SharedPtr::new_in(i, &d));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let slot: AtomicSharedPtr<u64, S> = AtomicSharedPtr::null_in(&d);
+                    while !stop.load(Ordering::Relaxed) {
+                        let _cs = d.cs();
+                        // Displacing stores route the old block through the
+                        // deferred-decrement path — the raciest counter
+                        // traffic the domain has.
+                        for i in 0..16u64 {
+                            slot.store(SharedPtr::new_in(i, &d));
+                        }
+                        slot.store(SharedPtr::null());
                     }
-                    slot.store(SharedPtr::null());
-                }
-            });
-        }
+                })
+            })
+            .collect();
         for _ in 0..2000 {
             assert!(
                 d.in_flight() >= FLOOR as u64,
@@ -370,6 +377,9 @@ fn in_flight_never_under_reports<S: Scheme>() {
             );
         }
         stop.store(true, Ordering::Relaxed);
+        for w in workers {
+            w.join().unwrap();
+        }
     });
     drop(live);
     drain(&d);

@@ -1,13 +1,17 @@
 //! Weak-pointer semantics across schemes: upgrade/expiry races, weak
-//! snapshot linearizability corners (§4.5), and the queue of Fig. 10.
+//! snapshot linearizability corners (§4.5), and the queue of Fig. 10 —
+//! including that dead nodes held only through weak back edges are
+//! reclaimed during operations, not left for `process_deferred`.
 
 use smr::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cdrc::{
-    AtomicSharedPtr, AtomicWeakPtr, EbrScheme, HpScheme, HyalineScheme, IbrScheme, Scheme,
-    SharedPtr,
+    AtomicSharedPtr, AtomicWeakPtr, DomainRef, EbrScheme, EdgeCollector, GraphNode, HpScheme,
+    HyalineScheme, IbrScheme, Scheme, SharedPtr,
 };
+use lockfree::rc::RcDoubleLinkQueue;
+use lockfree::ConcurrentQueue;
 
 fn settle<S: Scheme>() {
     S::global_domain().process_deferred(smr::current_tid());
@@ -175,4 +179,177 @@ fn atomic_weak_cas_chain() {
     assert_eq!(slot.load().upgrade().map(|p| *p.as_ref().unwrap()), Some(2));
     drop((a, b, wa, wb, slot));
     settle::<IbrScheme>();
+}
+
+/// A node with the Fig. 10 queue's edge shape: strong `next`, weak `prev`.
+struct ChainNode<S: Scheme> {
+    next: AtomicSharedPtr<ChainNode<S>, S>,
+    prev: AtomicWeakPtr<ChainNode<S>, S>,
+}
+
+impl<S: Scheme> GraphNode<S> for ChainNode<S> {
+    fn pop_edges(&mut self, out: &mut EdgeCollector<'_, S>) {
+        out.take_atomic(&mut self.next);
+        out.take_atomic_weak(&mut self.prev);
+    }
+}
+
+fn weak_back_edge_chain_freed_at_section_exit<S: Scheme>() {
+    // Every node but the last has a weak observer (its successor's
+    // `prev`), so each one's strong count reaches zero inside its
+    // predecessor's destruct and its disposal goes through the dispose
+    // instance: a chain of 1,000 single retires, none of which reaches the
+    // instance's retire threshold on its own.
+    const LEN: u64 = 1_000;
+    let d: DomainRef<S> = DomainRef::new();
+    let node = || {
+        SharedPtr::new_graph_in(
+            ChainNode {
+                next: AtomicSharedPtr::null_in(&d),
+                prev: AtomicWeakPtr::null_in(&d),
+            },
+            &d,
+        )
+    };
+    let head: SharedPtr<ChainNode<S>, S> = node();
+    let mut tail = head.clone();
+    for _ in 1..LEN {
+        let n = node();
+        n.as_ref().unwrap().prev.store_strong(&tail);
+        tail.as_ref().unwrap().next.store(n.clone());
+        tail = n;
+    }
+    drop(tail);
+    assert_eq!(d.allocated(), LEN);
+    let guard = d.weak_cs();
+    drop(head);
+    drop(guard);
+    // No `process_deferred`: closing the section must reclaim the chain.
+    assert_eq!(
+        d.freed(),
+        LEN,
+        "{}: {} of {LEN} chain nodes still unreclaimed after the section closed",
+        S::scheme_name(),
+        d.in_flight()
+    );
+}
+
+#[test]
+fn weak_back_edge_chain_freed_without_process_deferred() {
+    weak_back_edge_chain_freed_at_section_exit::<EbrScheme>();
+    weak_back_edge_chain_freed_at_section_exit::<IbrScheme>();
+    weak_back_edge_chain_freed_at_section_exit::<HpScheme>();
+    weak_back_edge_chain_freed_at_section_exit::<HyalineScheme>();
+}
+
+/// Pop-and-re-push on the Fig. 10 queue over RC(HP): every dequeued node is
+/// held by a weak back edge when it dies, so its reclamation rides the
+/// dispose chain. The domain must keep up during the run — garbage stays
+/// bounded with no `process_deferred` until the end.
+#[test]
+fn weak_queue_garbage_bounded_during_operations() {
+    const THREADS: u64 = 2;
+    const GUARDS: u64 = 1_600; // per thread, at least
+    const OPS_PER_GUARD: u64 = 64; // a pop and a push count as two ops
+    const MAX_IN_FLIGHT: u64 = 20_000;
+    let seed: u64 = std::env::var("WEAK_QUEUE_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0x9e37_79b9);
+    eprintln!("weak_queue_garbage_bounded_during_operations: WEAK_QUEUE_SEED={seed}");
+
+    let d: DomainRef<HpScheme> = DomainRef::new();
+    let q: Arc<RcDoubleLinkQueue<u64, HpScheme>> = Arc::new(RcDoubleLinkQueue::new_in(d.clone()));
+    for i in 0..THREADS {
+        q.enqueue(seed.wrapping_add(i));
+    }
+    // Guards completed per worker. A worker stalled by the host holds back
+    // every chain link whose last decrement sits in its lists, so neither
+    // may run more than `MAX_LEAD` guards ahead of the other: the bound
+    // then measures the domain, not the scheduler. Both run until both
+    // have done `GUARDS`, so the sampled window has both active. (A worker
+    // that exits strands the dispose retires it still holds, and the rest
+    // of their chains, until its slot is reused or the domain is flushed.)
+    const MAX_LEAD: u64 = 4;
+    let progress: Arc<[AtomicU64; 2]> = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let done = Arc::new(std::sync::Barrier::new(THREADS as usize));
+    let stop = Arc::new(AtomicBool::new(false));
+    let sampler = {
+        let d = d.clone();
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut max = 0;
+            while !stop.load(Ordering::Relaxed) {
+                max = max.max(d.in_flight());
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            max.max(d.in_flight())
+        })
+    };
+    let workers: Vec<_> = (0..THREADS)
+        .map(|i| {
+            let q = Arc::clone(&q);
+            let progress = Arc::clone(&progress);
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let (me, other) = (&progress[i as usize], &progress[1 - i as usize]);
+                // The seed varies where each worker yields between guards.
+                let mut state = seed ^ (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                loop {
+                    let (mine, theirs) =
+                        (me.load(Ordering::Relaxed), other.load(Ordering::Relaxed));
+                    if mine >= GUARDS && theirs >= GUARDS {
+                        break;
+                    }
+                    if mine > theirs + MAX_LEAD {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    let guard = q.pin();
+                    for _ in 0..OPS_PER_GUARD / 2 {
+                        // One element per worker: the queue is never empty
+                        // when a worker pops.
+                        let v = q.dequeue_with(&guard).expect("queue emptied");
+                        q.enqueue_with(v, &guard);
+                    }
+                    drop(guard);
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    if state.is_multiple_of(8) {
+                        std::thread::yield_now();
+                    }
+                    me.fetch_add(1, Ordering::Relaxed);
+                }
+                // The end: with both workers out of their sections, each
+                // flushes what its own slot still holds.
+                done.wait();
+                q.domain().process_deferred(smr::current_tid());
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    let max_in_flight = sampler.join().unwrap();
+    let ops = THREADS * GUARDS * OPS_PER_GUARD;
+    eprintln!("max in_flight {max_in_flight} blocks");
+    assert!(
+        max_in_flight < MAX_IN_FLIGHT,
+        "seed {seed}: in_flight reached {max_in_flight} blocks over at least {ops} ops \
+         (bound {MAX_IN_FLIGHT}): dispose chains are not reclaimed during operations"
+    );
+    let q = Arc::try_unwrap(q).unwrap_or_else(|_| panic!("queue still shared"));
+    let mut left: Vec<u64> = std::iter::from_fn(|| q.dequeue()).collect();
+    left.sort_unstable();
+    let mut seeded: Vec<u64> = (0..THREADS).map(|i| seed.wrapping_add(i)).collect();
+    seeded.sort_unstable();
+    assert_eq!(left, seeded, "seed {seed}: elements lost");
+    drop(q);
+    assert_eq!(
+        d.allocated(),
+        d.freed(),
+        "seed {seed}: queue teardown left blocks behind"
+    );
 }
